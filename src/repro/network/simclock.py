@@ -123,25 +123,33 @@ class SimClock:
 
         Returns a zero-argument cancel function.  The first firing happens
         after ``start_delay`` (default: one full interval).
+
+        The timer owns one :class:`ScheduledEvent`.  After each firing it
+        pushes that event back with the next time and a fresh sequence
+        number, drawn at the point a new ``schedule`` call would draw it,
+        so firing order is that of an event per firing.
         """
         if interval <= 0:
             raise SimulationError(f"periodic interval must be positive: {interval}")
-        state = {"event": None, "stopped": False}
+        stopped = False
 
         def fire() -> None:
-            if state["stopped"]:
-                return
             callback()
-            if not state["stopped"]:
-                state["event"] = self.schedule(interval, fire)
+            if not stopped:
+                time = self._now + interval
+                sequence = next(self._sequence)
+                event.time = time
+                event.sequence = sequence
+                event.done = False
+                heapq.heappush(self._heap, (time, sequence, event))
 
         first_delay = interval if start_delay is None else start_delay
-        state["event"] = self.schedule(first_delay, fire)
+        event = self.schedule(first_delay, fire)
 
         def cancel() -> None:
-            state["stopped"] = True
-            if state["event"] is not None:
-                state["event"].cancel()
+            nonlocal stopped
+            stopped = True
+            event.cancel()
 
         return cancel
 

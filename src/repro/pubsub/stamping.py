@@ -13,6 +13,8 @@ themes to the advertised schema's.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from repro.pubsub.registry import SensorMetadata
 from repro.streams.tuple import SensorTuple
 from repro.stt.event import SttStamp
@@ -44,16 +46,15 @@ def backfill_stamp(
             themes=stamp.themes or schema.themes,
         )
     else:
-        full = SttStamp(
-            time=now,
-            location=metadata.location,
-            temporal_granularity=schema.temporal_granularity,
-            spatial_granularity=schema.spatial_granularity,
-            themes=schema.themes,
+        # Every part but the time comes from the schema, which normalised
+        # its granularities and themes when it was built.
+        full = SttStamp._trusted(
+            now,
+            metadata.location,
+            schema.temporal_granularity,
+            schema.spatial_granularity,
+            schema.themes,
         )
-    return SensorTuple(
-        payload=payload,
-        stamp=full,
-        source=metadata.sensor_id,
-        seq=seq,
-    )
+    if not isinstance(payload, MappingProxyType):
+        payload = MappingProxyType(dict(payload))
+    return SensorTuple._assemble(payload, full, metadata.sensor_id, seq, None)

@@ -30,6 +30,14 @@ _HASHTAGS = {
     "traffic": ["#osaka", "#traffic", "#commute"],
     "events": ["#osaka", "#event", "#matsuri"],
 }
+#: Per topic, in ``_TWEET_TOPICS`` order: (texts, hashtags, tags drawn).
+#: ``rng.choice(seq)`` on a list draws exactly ``rng.integers(len(seq))``
+#: and indexes it, so the tweet generator indexes these tuples instead of
+#: paying for a list-to-array conversion per draw (DESIGN.md §18).
+_TWEET_DRAWS = tuple(
+    (tuple(texts), tuple(_HASHTAGS[topic]), min(2, len(_HASHTAGS[topic])))
+    for topic, texts in _TWEET_TOPICS.items()
+)
 
 
 def twitter_sensor(
@@ -73,15 +81,13 @@ def twitter_sensor(
         activity = 0.35 + 0.65 * math.exp(-(((hour - burst_hour) % 24.0) ** 2) / 18.0)
         if rng.random() > activity:
             return None
-        topic = rng.choice(list(_TWEET_TOPICS))
-        text = str(rng.choice(_TWEET_TOPICS[topic]))
-        tags = " ".join(
-            rng.choice(_HASHTAGS[topic], size=min(2, len(_HASHTAGS[topic])), replace=False)
-        )
+        texts, hashtags, drawn = _TWEET_DRAWS[rng.integers(len(_TWEET_DRAWS))]
+        text = texts[rng.integers(len(texts))]
+        picked = rng.choice(len(hashtags), size=drawn, replace=False).tolist()
         return {
             "user": f"user{int(rng.integers(1, 5000))}",
             "text": text,
-            "hashtags": tags,
+            "hashtags": " ".join([hashtags[index] for index in picked]),
             "retweets": int(rng.poisson(2)),
         }
 

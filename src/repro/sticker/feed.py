@@ -6,16 +6,14 @@ from dataclasses import dataclass, field
 
 from repro.errors import StreamLoaderError
 from repro.streams.tuple import SensorTuple
-from repro.stt.spatial import grid_cell_for, representative_point
+from repro.stt.spatial import SpatialObject, grid_cell_for, representative_point
 from repro.stt.thematic import Theme
 
 
-@dataclass(frozen=True)
-class _BinKey:
-    bucket: int
-    row: int
-    col: int
-    theme: str
+#: Stamp locations whose grid cell a feed remembers.  Fleets reuse a few
+#: locations (a sensor stamps its registered position), so a hit is the
+#: rule; a stream of distinct points refills the memo from empty.
+CELL_MEMO_MAX = 4096
 
 
 @dataclass
@@ -54,24 +52,37 @@ class StickerFeed:
             )
         self.bucket_seconds = bucket_seconds
         self.cell_granularity = cell_granularity
-        self._bins: dict[_BinKey, TrendPoint] = {}
+        #: (bucket, row, col, theme) -> that bin's aggregate.
+        self._bins: dict[tuple[int, int, int, str], TrendPoint] = {}
         self.pushed = 0
+        #: Stamp location -> (row, col) of its grid cell.
+        self._cells: dict[SpatialObject, tuple[int, int]] = {}
+
+    def _cell_of(self, location: SpatialObject) -> "tuple[int, int]":
+        cell = self._cells.get(location)
+        if cell is None:
+            grid = grid_cell_for(representative_point(location), self.cell_granularity)
+            cell = (grid.row, grid.col)
+            if len(self._cells) >= CELL_MEMO_MAX:
+                self._cells.clear()
+            self._cells[location] = cell
+        return cell
 
     def push(self, tuple_: SensorTuple) -> None:
         """Accumulate one processed tuple into its bins (one per theme)."""
         self.pushed += 1
-        bucket = int(tuple_.stamp.time // self.bucket_seconds)
-        point = representative_point(tuple_.stamp.location)
-        cell = grid_cell_for(point, self.cell_granularity)
-        themes = [theme.path for theme in tuple_.stamp.themes] or ["(untagged)"]
+        stamp = tuple_.stamp
+        bucket = int(stamp.time // self.bucket_seconds)
+        row, col = self._cell_of(stamp.location)
+        themes = [theme.path for theme in stamp.themes] or ["(untagged)"]
         for theme in themes:
-            key = _BinKey(bucket=bucket, row=cell.row, col=cell.col, theme=theme)
+            key = (bucket, row, col, theme)
             bin_ = self._bins.get(key)
             if bin_ is None:
                 bin_ = TrendPoint(
                     bucket_start=bucket * self.bucket_seconds,
-                    row=cell.row,
-                    col=cell.col,
+                    row=row,
+                    col=col,
                     theme=theme,
                 )
                 self._bins[key] = bin_

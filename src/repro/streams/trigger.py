@@ -34,6 +34,7 @@ The check window may be longer than the check cadence: ``window`` (default
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Collection
 
 from repro.errors import DataflowError
@@ -50,8 +51,9 @@ def window_statistics(tuples: "Collection[SensorTuple]") -> dict[str, object]:
     """Synthesize the statistics payload trigger conditions run against.
 
     Accepts any sized iterable of tuples — a list, or a
-    :class:`~repro.streams.windows.TupleCache` directly (the trigger's
-    flush passes its cache to skip the per-check window copy).
+    :class:`~repro.streams.windows.TupleCache` directly.  A trigger keeps
+    the same payload running in its :class:`StatisticsCache` instead of
+    rescanning its window at every check.
     """
     stats: dict[str, object] = {"count": len(tuples)}
     if not tuples:
@@ -61,7 +63,7 @@ def window_statistics(tuples: "Collection[SensorTuple]") -> dict[str, object]:
     for tuple_ in tuples:
         for name, value in tuple_.payload.items():
             last[name] = value
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
+            if _is_numeric(value):
                 numeric.setdefault(name, []).append(float(value))
     for name, values in numeric.items():
         stats[f"avg_{name}"] = sum(values) / len(values)
@@ -71,6 +73,93 @@ def window_statistics(tuples: "Collection[SensorTuple]") -> dict[str, object]:
     for name, value in last.items():
         stats[f"last_{name}"] = value
     return stats
+
+
+def _is_numeric(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+class StatisticsCache(TupleCache):
+    """A trigger's window cache that keeps the statistics' inputs running.
+
+    :func:`window_statistics` rescans every cached tuple at each check.
+    This cache instead keeps, per attribute, the float column the rescan
+    would collect (numeric values, in window order) and the last value
+    with the number of cached tuples that carry the attribute.  Adds
+    append; evictions pop from the front, since the cache is FIFO.  So
+    :meth:`statistics` sums, and takes the min and max of, the same floats
+    in the same order as the rescan, and returns an equal payload.
+    """
+
+    def __init__(self, max_tuples: int = 100_000) -> None:
+        super().__init__(max_tuples, on_evict=self._forget)
+        self._columns: dict[str, deque[float]] = {}
+        #: Attribute -> [last value, cached tuples carrying it].
+        self._last: dict[str, list] = {}
+
+    def add(self, tuple_: SensorTuple) -> None:
+        super().add(tuple_)
+        self._remember(tuple_)
+
+    def drain(self) -> list[SensorTuple]:
+        drained = super().drain()
+        self._reset_columns()
+        return drained
+
+    def restore(self, tuples: "list[SensorTuple]", evicted: int = 0) -> None:
+        super().restore(tuples, evicted)
+        self._reset_columns()
+        for tuple_ in self:
+            self._remember(tuple_)
+
+    def clear(self) -> None:
+        super().clear()
+        self._reset_columns()
+
+    def _reset_columns(self) -> None:
+        self._columns.clear()
+        self._last.clear()
+
+    def _remember(self, tuple_: SensorTuple) -> None:
+        columns, last = self._columns, self._last
+        for name, value in tuple_.payload.items():
+            entry = last.get(name)
+            if entry is None:
+                last[name] = [value, 1]
+            else:
+                entry[0] = value
+                entry[1] += 1
+            if _is_numeric(value):
+                column = columns.get(name)
+                if column is None:
+                    column = columns[name] = deque()
+                column.append(float(value))
+
+    def _forget(self, tuple_: SensorTuple) -> None:
+        columns, last = self._columns, self._last
+        for name, value in tuple_.payload.items():
+            entry = last[name]
+            entry[1] -= 1
+            if not entry[1]:
+                del last[name]
+            if _is_numeric(value):
+                column = columns[name]
+                column.popleft()
+                if not column:
+                    del columns[name]
+
+    def statistics(self) -> dict[str, object]:
+        """:func:`window_statistics` of the cached tuples, without a rescan."""
+        stats: dict[str, object] = {"count": len(self)}
+        for name, column in self._columns.items():
+            total = sum(column)
+            stats[f"avg_{name}"] = total / len(column)
+            stats[f"min_{name}"] = min(column)
+            stats[f"max_{name}"] = max(column)
+            stats[f"sum_{name}"] = total
+        for name, (value, _) in self._last.items():
+            stats[f"last_{name}"] = value
+        return stats
 
 
 class _TriggerBase(BlockingOperator):
@@ -99,7 +188,7 @@ class _TriggerBase(BlockingOperator):
                 f"trigger window ({self.window}) must cover at least one "
                 f"check interval ({self.interval})"
             )
-        self.cache = TupleCache(max_tuples=max_cache)
+        self.cache = StatisticsCache(max_tuples=max_cache)
         self._last_command: "bool | None" = None
 
     def _process(self, tuple_: SensorTuple, port: int) -> list[SensorTuple]:
@@ -117,8 +206,7 @@ class _TriggerBase(BlockingOperator):
         self.cache.prune(before=now - self.window)
         if not self.cache:
             return []
-        # Non-copying: statistics iterate the cache in place.
-        stats_payload = window_statistics(self.cache)
+        stats_payload = self.cache.statistics()
         try:
             fired = self.condition.evaluate_bool(stats_payload)
         except Exception:

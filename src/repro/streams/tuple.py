@@ -68,32 +68,34 @@ class SensorTuple:
     # the data plane; ``dataclasses.replace`` re-enters the generated
     # ``__init__`` and ``__post_init__`` (re-wrapping the payload it just
     # unwrapped), which costs several times a direct field assembly.
-    def _clone(
-        self,
-        payload: Mapping[str, object],
+    @staticmethod
+    def _assemble(
+        payload: MappingProxyType,
         stamp: SttStamp,
         source: str,
         seq: int,
         trace: "TraceContext | None",
     ) -> "SensorTuple":
+        """A tuple from fields that need no normalising (a read-only
+        payload), written straight into the instance dict."""
         clone = SensorTuple.__new__(SensorTuple)
-        set_ = object.__setattr__
-        set_(clone, "payload", payload)
-        set_(clone, "stamp", stamp)
-        set_(clone, "source", source)
-        set_(clone, "seq", seq)
-        set_(clone, "trace", trace)
+        fields = clone.__dict__
+        fields["payload"] = payload
+        fields["stamp"] = stamp
+        fields["source"] = source
+        fields["seq"] = seq
+        fields["trace"] = trace
         return clone
 
     def _clone_same_payload(self, stamp, source, trace) -> "SensorTuple":
-        clone = self._clone(self.payload, stamp, source, self.seq, trace)
+        clone = self._assemble(self.payload, stamp, source, self.seq, trace)
         size = self.__dict__.get("_wire_size")
         if size is not None:  # size depends only on the (shared) payload
             object.__setattr__(clone, "_wire_size", size)
         return clone
 
     def with_payload(self, payload: Mapping[str, object]) -> "SensorTuple":
-        return self._clone(
+        return self._assemble(
             MappingProxyType(dict(payload)),
             self.stamp, self.source, self.seq, self.trace,
         )
@@ -102,7 +104,7 @@ class SensorTuple:
         """Like :meth:`with_payload` for a dict the caller just built and
         transfers ownership of — skips the defensive copy.  The caller
         must not mutate ``payload`` afterwards."""
-        return self._clone(
+        return self._assemble(
             MappingProxyType(payload),
             self.stamp, self.source, self.seq, self.trace,
         )
@@ -110,7 +112,7 @@ class SensorTuple:
     def with_updates(self, **updates: object) -> "SensorTuple":
         merged = dict(self.payload)
         merged.update(updates)
-        return self._clone(
+        return self._assemble(
             MappingProxyType(merged),
             self.stamp, self.source, self.seq, self.trace,
         )

@@ -61,6 +61,28 @@ class SttStamp:
         )
         object.__setattr__(self, "themes", themes)
 
+    @classmethod
+    def _trusted(
+        cls,
+        time: float,
+        location: SpatialObject,
+        temporal_granularity: TemporalGranularity,
+        spatial_granularity: SpatialGranularity,
+        themes: "tuple[Theme, ...]",
+    ) -> "SttStamp":
+        """A stamp from parts that are already normalised, skipping
+        ``__post_init__``: granularity objects and a ``Theme`` tuple taken
+        from a :class:`~repro.schema.schema.StreamSchema`, which normalised
+        them the same way.  Anything else goes through the constructor."""
+        stamp = cls.__new__(cls)
+        fields = stamp.__dict__
+        fields["time"] = time
+        fields["location"] = location
+        fields["temporal_granularity"] = temporal_granularity
+        fields["spatial_granularity"] = spatial_granularity
+        fields["themes"] = themes
+        return stamp
+
     @property
     def instant(self) -> Instant:
         return Instant(self.time, self.temporal_granularity)

@@ -4,8 +4,17 @@ import math
 
 import pytest
 
+import repro.sticker.feed as feed_module
 from repro.errors import StreamLoaderError
 from repro.sticker.feed import StickerFeed
+from repro.stt.granularity import spatial_granularity
+from repro.stt.spatial import (
+    METERS_PER_DEG_LAT,
+    Box,
+    Point,
+    grid_cell_for,
+    representative_point,
+)
 
 
 class TestBinning:
@@ -77,3 +86,44 @@ class TestJsonDocuments:
         doc = docs[0]
         assert set(doc) == {"bucket_start", "cell", "theme", "count", "means"}
         assert doc["means"]["temperature"] == 25.0
+
+
+class TestCellMemo:
+    """The feed remembers each stamp location's grid cell, up to a cap."""
+
+    def test_memo_stays_bounded_for_distinct_points(self, make_tuple, monkeypatch):
+        monkeypatch.setattr(feed_module, "CELL_MEMO_MAX", 16)
+        feed = StickerFeed()
+        for i in range(200):
+            feed.push(make_tuple(i, lat=34.0 + i * 1e-3, lon=135.0 + i * 1e-3))
+            assert len(feed._cells) <= 16
+        assert feed.pushed == 200
+        assert sum(b.count for b in feed.bins()) == 200
+
+    def test_memo_cells_equal_grid_cells_at_boundaries(self):
+        """Points on and one ulp beside grid lines, where the nudge runs."""
+        feed = StickerFeed(cell_granularity="district")
+        d = spatial_granularity("district").cell_meters / METERS_PER_DEG_LAT
+        nudged = 0
+        for k in range(6440, 6480):
+            lat_line, lon_line = -90.0 + k * d, -180.0 + (k + 8000) * d
+            for step in (-math.inf, None, math.inf):
+                lat = lat_line if step is None else math.nextafter(lat_line, step)
+                lon = lon_line if step is None else math.nextafter(lon_line, step)
+                for location in (Point(lat, 135.5), Point(34.6, lon), Point(lat, lon)):
+                    cell = grid_cell_for(location, "district")
+                    nudged += (cell.row, cell.col) != (
+                        int((location.lat + 90.0) // d),
+                        int((location.lon + 180.0) // d),
+                    )
+                    assert feed._cell_of(location) == (cell.row, cell.col)
+                    assert feed._cell_of(location) == (cell.row, cell.col)  # memo hit
+        assert nudged > 0
+
+    def test_memo_covers_boxes_and_cells(self):
+        feed = StickerFeed(cell_granularity="city")
+        box = Box(34.5, 135.3, 34.8, 135.7)
+        cell = grid_cell_for(Point(34.69, 135.5), "district")
+        for location in (box, cell, box, cell):
+            expected = grid_cell_for(representative_point(location), "city")
+            assert feed._cell_of(location) == (expected.row, expected.col)

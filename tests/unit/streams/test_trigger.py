@@ -1,13 +1,19 @@
 """Unit tests for Trigger On / Trigger Off — ⊕ON,t / ⊕OFF,t."""
 
+import random
+
 import pytest
 
 from repro.errors import DataflowError
 from repro.streams.trigger import (
+    StatisticsCache,
     TriggerOffOperator,
     TriggerOnOperator,
     window_statistics,
 )
+from repro.streams.tuple import SensorTuple
+from repro.stt.event import SttStamp
+from repro.stt.spatial import Point
 
 
 class TestWindowStatistics:
@@ -168,3 +174,90 @@ class TestTriggerOff:
         op.on_tuple(make_tuple(1, time=400.0))
         op.on_timer(600.0)
         assert len(commands) == 2
+
+
+def _mixed_tuple(rng: random.Random, seq: int, time: float) -> SensorTuple:
+    """Numeric, bool and string values; attributes come and go."""
+    payload = {}
+    for name in ("temperature", "rain", "wet", "station", "x"):
+        roll = rng.random()
+        if roll < 0.2:
+            continue  # attribute missing from this tuple
+        if name == "wet":
+            payload[name] = rng.random() < 0.5
+        elif name == "station":
+            payload[name] = f"st-{rng.randrange(3)}"
+        elif name == "x" and roll < 0.5:
+            payload[name] = "n/a"  # the same attribute, not numeric here
+        elif name == "rain":
+            payload[name] = rng.randrange(10)
+        else:
+            payload[name] = rng.uniform(-5.0, 40.0)
+    return SensorTuple(
+        payload=payload,
+        stamp=SttStamp(time=time, location=Point(34.69, 135.5)),
+        seq=seq,
+    )
+
+
+class TestStatisticsCache:
+    """Running columns equal a rescan with :func:`window_statistics`."""
+
+    @staticmethod
+    def check(cache: StatisticsCache) -> None:
+        assert cache.statistics() == window_statistics(list(cache))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_adds_prunes_restores_and_clears(self, seed):
+        rng = random.Random(seed)
+        cache = StatisticsCache(max_tuples=25)  # overflow evicts as well
+        saved = cache.snapshot()
+        now = 0.0
+        for seq in range(400):
+            now += rng.uniform(0.0, 10.0)
+            roll = rng.random()
+            if roll < 0.7:
+                cache.add(_mixed_tuple(rng, seq, now))
+            elif roll < 0.85:
+                cache.prune(before=now - rng.uniform(0.0, 150.0))
+            elif roll < 0.9:
+                saved = cache.snapshot()
+            elif roll < 0.95:
+                cache.restore(saved)
+            elif roll < 0.97:
+                cache.drain()
+            else:
+                cache.clear()
+            self.check(cache)
+
+    def test_trigger_statistics_survive_checkpoint_restore(self, make_tuple):
+        op = TriggerOnOperator(
+            interval=300.0, window=900.0, condition="avg_temperature > 25",
+            targets=["x"],
+        )
+        for i in range(10):
+            op.on_tuple(make_tuple(i, temperature=20.0 + i, time=i * 100.0))
+        op.on_timer(1000.0)  # prunes the first tuple
+        self.check(op.cache)
+        state = op.checkpoint()
+        fresh = TriggerOnOperator(
+            interval=300.0, window=900.0, condition="avg_temperature > 25",
+            targets=["x"],
+        )
+        fresh.restore(state)
+        assert fresh.cache.statistics() == op.cache.statistics()
+        self.check(fresh.cache)
+        fresh.reset()
+        assert fresh.cache.statistics() == {"count": 0}
+
+    def test_bool_and_text_get_last_only(self):
+        cache = StatisticsCache()
+        cache.add(SensorTuple(
+            payload={"wet": True, "station": "umeda", "rain": 3},
+            stamp=SttStamp(time=0.0, location=Point(34.69, 135.5)),
+        ))
+        stats = cache.statistics()
+        assert stats["last_wet"] is True and "avg_wet" not in stats
+        assert stats["last_station"] == "umeda" and "sum_station" not in stats
+        assert stats["sum_rain"] == 3.0 and type(stats["sum_rain"]) is float
+        self.check(cache)
