@@ -90,6 +90,9 @@ class NetworkSimulator:
         #: occupancy signal behind ``network_route_inflight``.  ``None``
         #: costs one attribute read per send.
         self.plane = None
+        #: ``_deliver`` bound once: every delivery event shares it, so a
+        #: message in flight costs its clock event and nothing else.
+        self._deliver_cb = self._deliver
 
     def send(
         self,
@@ -302,9 +305,7 @@ class NetworkSimulator:
         ``delay``; the asyncio backend overrides this to land the message
         in the target node's bounded queue at the same virtual instant.
         """
-        self.clock.schedule(
-            delay, lambda: self._deliver(message, on_delivery, on_drop)
-        )
+        self.clock.schedule(delay, self._deliver_cb, message, on_delivery, on_drop)
 
     def _deliver(
         self,

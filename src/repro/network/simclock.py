@@ -24,6 +24,9 @@ class ScheduledEvent:
     time: float
     sequence: int
     callback: Callable = field(compare=False)
+    #: Positional arguments for ``callback``: a message's delivery event
+    #: carries its message here instead of in a per-message closure.
+    args: tuple = field(default=(), compare=False)
     cancelled: bool = field(default=False, compare=False)
     #: Set when the event is popped for execution — a late cancel() (e.g. a
     #: periodic's cancel fired from inside its own callback) must not count
@@ -40,15 +43,52 @@ class ScheduledEvent:
             self.owner._note_cancelled()
 
 
+class _PeriodicTimer:
+    """A repeating timer: one :class:`ScheduledEvent` re-armed after each firing.
+
+    ``fire`` is the event's callback and ``cancel`` the function
+    :meth:`SimClock.schedule_periodic` returns, both bound once per timer.
+    """
+
+    __slots__ = ("clock", "interval", "callback", "event", "stopped")
+
+    def __init__(self, clock: "SimClock", interval: float, callback: Callable) -> None:
+        self.clock = clock
+        self.interval = interval
+        self.callback = callback
+        self.event: "ScheduledEvent | None" = None
+        self.stopped = False
+
+    def fire(self) -> None:
+        self.callback()
+        if not self.stopped:
+            clock = self.clock
+            time = clock._now + self.interval
+            sequence = next(clock._sequence)
+            event = self.event
+            event.time = time
+            event.sequence = sequence
+            event.done = False
+            heapq.heappush(clock._heap, (time, sequence, event))
+
+    def cancel(self) -> None:
+        self.stopped = True
+        self.event.cancel()
+
+
 class SimClock:
     """Deterministic discrete-event clock.
 
+    Callbacks take positional arguments the way asyncio's
+    ``call_later(delay, callback, *args)`` does:
+
     >>> clock = SimClock()
     >>> fired = []
-    >>> _ = clock.schedule(5.0, lambda: fired.append(clock.now))
+    >>> _ = clock.schedule(5.0, fired.append, "a")
+    >>> _ = clock.schedule(7.0, lambda: fired.append(clock.now))
     >>> _ = clock.run_until(10.0)
     >>> fired
-    [5.0]
+    ['a', 7.0]
     """
 
     def __init__(self, start: float = 0.0) -> None:
@@ -90,26 +130,30 @@ class SimClock:
             heapq.heapify(self._heap)
             self._cancelled = 0
 
-    def schedule(self, delay: float, callback: Callable) -> ScheduledEvent:
-        """Schedule ``callback`` to run ``delay`` seconds from now."""
+    def schedule(
+        self, delay: float, callback: Callable, *args: object
+    ) -> ScheduledEvent:
+        """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         # Inlined schedule_at (delay >= 0 implies time >= now): one less
         # frame on the simulator's hottest call.
         time = self._now + delay
         sequence = next(self._sequence)
-        event = ScheduledEvent(time, sequence, callback, owner=self)
+        event = ScheduledEvent(time, sequence, callback, args, owner=self)
         heapq.heappush(self._heap, (time, sequence, event))
         return event
 
-    def schedule_at(self, time: float, callback: Callable) -> ScheduledEvent:
-        """Schedule ``callback`` at absolute virtual time ``time``."""
+    def schedule_at(
+        self, time: float, callback: Callable, *args: object
+    ) -> ScheduledEvent:
+        """Schedule ``callback(*args)`` at absolute virtual time ``time``."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at {time} before current time {self._now}"
             )
         sequence = next(self._sequence)
-        event = ScheduledEvent(time, sequence, callback, owner=self)
+        event = ScheduledEvent(time, sequence, callback, args, owner=self)
         heapq.heappush(self._heap, (time, sequence, event))
         return event
 
@@ -131,40 +175,34 @@ class SimClock:
         """
         if interval <= 0:
             raise SimulationError(f"periodic interval must be positive: {interval}")
-        stopped = False
-
-        def fire() -> None:
-            callback()
-            if not stopped:
-                time = self._now + interval
-                sequence = next(self._sequence)
-                event.time = time
-                event.sequence = sequence
-                event.done = False
-                heapq.heappush(self._heap, (time, sequence, event))
-
+        timer = _PeriodicTimer(self, interval, callback)
         first_delay = interval if start_delay is None else start_delay
-        event = self.schedule(first_delay, fire)
-
-        def cancel() -> None:
-            nonlocal stopped
-            stopped = True
-            event.cancel()
-
-        return cancel
+        timer.event = self.schedule(first_delay, timer.fire)
+        return timer.cancel
 
     def step(self) -> bool:
-        """Run the next event; returns False when the heap is empty."""
-        while self._heap:
-            event_time, _, event = heapq.heappop(self._heap)
-            if event.cancelled:
-                self._cancelled -= 1
-                continue
-            event.done = True
-            self._now = event_time
-            event.callback()
-            return True
-        return False
+        """Run the next event; returns False when the heap is empty.
+
+        Like ``run`` and ``run_until``, refuses to run from inside a
+        callback: a nested step would fire later events before the
+        current one returns.
+        """
+        if self._running:
+            raise SimulationError("clock is already running (no re-entrant runs)")
+        self._running = True
+        try:
+            while self._heap:
+                event_time, _, event = heapq.heappop(self._heap)
+                if event.cancelled:
+                    self._cancelled -= 1
+                    continue
+                event.done = True
+                self._now = event_time
+                event.callback(*event.args)
+                return True
+            return False
+        finally:
+            self._running = False
 
     def run_until(self, time: float, max_events: int = 10_000_000) -> int:
         """Run all events scheduled strictly before/at ``time``.
@@ -192,7 +230,7 @@ class SimClock:
                     continue
                 event.done = True
                 self._now = event_time
-                event.callback()
+                event.callback(*event.args)
                 executed += 1
                 if executed >= max_events:
                     raise SimulationError(
@@ -221,7 +259,7 @@ class SimClock:
                     continue
                 event.done = True
                 self._now = event_time
-                event.callback()
+                event.callback(*event.args)
                 executed += 1
                 if executed >= max_events:
                     raise SimulationError(

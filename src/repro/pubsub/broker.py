@@ -84,6 +84,15 @@ class Broker:
     #: Sensor ids this broker has seen advertised (overlay propagation).
     known_sensors: set[str] = field(default_factory=set)
 
+    def __post_init__(self) -> None:
+        # Bound once: every advertisement sent here is delivered through
+        # the same callable.
+        self.receive_advertisement = self.receive_advertisement
+
+    def receive_advertisement(self, payload: "tuple[str, str]") -> None:
+        """An ``("advertise", sensor_id)`` message arrived over the overlay."""
+        self.known_sensors.add(payload[1])
+
     @property
     def subscriptions(self) -> list[Subscription]:
         """The broker's subscriptions in insertion order."""
@@ -98,6 +107,80 @@ class Broker:
                 f"subscription {subscription.subscription_id} not on "
                 f"broker {self.node_id!r}"
             )
+
+
+class _Attempt:
+    """One transmission attempt of a tuple: its loss handler.
+
+    Passed to the transport as ``on_drop``; carries what a retry needs as
+    slots instead of in a closure.
+    """
+
+    __slots__ = ("network", "metadata", "subscription", "payload", "attempt")
+
+    def __init__(
+        self,
+        network: "BrokerNetwork",
+        metadata: SensorMetadata,
+        subscription: Subscription,
+        payload: "SensorTuple | TupleBatch",
+        attempt: int,
+    ) -> None:
+        self.network = network
+        self.metadata = metadata
+        self.subscription = subscription
+        self.payload = payload
+        self.attempt = attempt
+
+    def __call__(self, _message: object, reason: str) -> None:
+        self.network._on_loss(
+            self.metadata, self.subscription, self.payload, self.attempt, reason
+        )
+
+
+class _BatchAttempt(_Attempt):
+    """One transmission attempt of a micro-batch: its loss handler."""
+
+    __slots__ = ()
+
+    def __call__(self, _message: object, reason: str) -> None:
+        self.network._on_batch_loss(
+            self.metadata, self.subscription, self.payload, self.attempt, reason
+        )
+
+
+class _TrackedDelivery:
+    """Delivery to one subscription while the latency plane is installed:
+    settles the subscription's backlog and notes the delivery first."""
+
+    __slots__ = ("subscription", "plane", "clock")
+
+    def __init__(self, subscription: Subscription, plane, clock) -> None:
+        self.subscription = subscription
+        self.plane = plane
+        self.clock = clock
+
+    def __call__(self, tuple_: SensorTuple) -> None:
+        subscription = self.subscription
+        subscription.inflight -= 1
+        self.plane.note_deliver(
+            str(subscription.subscription_id), self.clock.now, tuple_.stamp.time
+        )
+        subscription.deliver(tuple_)
+
+
+class _TrackedBatchDelivery(_TrackedDelivery):
+    """:class:`_TrackedDelivery` for micro-batches."""
+
+    __slots__ = ()
+
+    def __call__(self, batch: TupleBatch) -> None:
+        subscription = self.subscription
+        subscription.inflight -= 1
+        self.plane.note_deliver_batch(
+            str(subscription.subscription_id), self.clock.now, batch
+        )
+        subscription.deliver_batch(batch)
 
 
 class BrokerNetwork:
@@ -235,9 +318,7 @@ class BrokerNetwork:
             target=broker.node_id,
             payload=("advertise", metadata.sensor_id),
             size_bytes=_ADVERTISEMENT_BYTES,
-            on_delivery=lambda _payload, b=broker, sid=metadata.sensor_id: (
-                b.known_sensors.add(sid)
-            ),
+            on_delivery=broker.receive_advertisement,
         )
 
     # -- subscribe / unsubscribe ---------------------------------------------
@@ -568,24 +649,14 @@ class BrokerNetwork:
             on_delivery = subscription.deliver
         else:
             subscription.inflight += 1
-
-            def on_delivery(payload, s=subscription, p=plane):
-                s.inflight -= 1
-                p.note_deliver(
-                    str(s.subscription_id),
-                    self.netsim.clock.now, payload.stamp.time,
-                )
-                s.deliver(payload)
-
+            on_delivery = _TrackedDelivery(subscription, plane, self.netsim.clock)
         self.netsim.send(
             source=metadata.node_id,
             target=subscription.node_id,
             payload=tuple_,
             size_bytes=estimate_size_bytes(tuple_),
             on_delivery=on_delivery,
-            on_drop=lambda _message, reason: self._on_loss(
-                metadata, subscription, tuple_, attempt, reason
-            ),
+            on_drop=_Attempt(self, metadata, subscription, tuple_, attempt),
         )
 
     def _on_loss(
@@ -616,8 +687,7 @@ class BrokerNetwork:
                         reason=reason,
                     )
             self.netsim.clock.schedule(
-                backoff,
-                lambda: self._transmit(metadata, subscription, tuple_, next_attempt),
+                backoff, self._transmit, metadata, subscription, tuple_, next_attempt
             )
             return
         self.data_messages_dead_lettered += 1
@@ -648,23 +718,16 @@ class BrokerNetwork:
             on_delivery = subscription.deliver_batch
         else:
             subscription.inflight += 1
-
-            def on_delivery(payload, s=subscription, p=plane):
-                s.inflight -= 1
-                p.note_deliver_batch(
-                    str(s.subscription_id), self.netsim.clock.now, payload,
-                )
-                s.deliver_batch(payload)
-
+            on_delivery = _TrackedBatchDelivery(
+                subscription, plane, self.netsim.clock
+            )
         self.netsim.send_batch(
             source=metadata.node_id,
             target=subscription.node_id,
             batch=batch,
             size_bytes=estimate_batch_size_bytes(batch),
             on_delivery=on_delivery,
-            on_drop=lambda _message, reason: self._on_batch_loss(
-                metadata, subscription, batch, attempt, reason
-            ),
+            on_drop=_BatchAttempt(self, metadata, subscription, batch, attempt),
         )
 
     def _on_batch_loss(
@@ -704,10 +767,8 @@ class BrokerNetwork:
                             batch=len(batch),
                         )
             self.netsim.clock.schedule(
-                backoff,
-                lambda: self._transmit_batch(
-                    metadata, subscription, batch, next_attempt
-                ),
+                backoff, self._transmit_batch, metadata, subscription, batch,
+                next_attempt,
             )
             return
         now = self.netsim.clock.now

@@ -125,6 +125,13 @@ class Subscription:
     #: stays 0 otherwise.
     inflight: int = 0
 
+    def __post_init__(self) -> None:
+        # Bound once: the broker hands ``deliver`` to the transport on
+        # every send, and a bound method per message is garbage the cyclic
+        # collector has to track.
+        self.deliver = self.deliver
+        self.deliver_batch = self.deliver_batch
+
     def pause(self) -> None:
         self.active = False
 

@@ -129,7 +129,7 @@ class AsyncClock(SimClock):
                 self._cancelled -= 1
                 continue
             event.done = True
-            event.callback()
+            event.callback(*event.args)
             executed += 1
             if executed >= budget:
                 raise SimulationError(
@@ -165,6 +165,7 @@ class AsyncTransport(NetworkSimulator):
     ) -> None:
         super().__init__(topology=topology, clock=clock, default_qos=default_qos)
         self._backend = backend
+        self._stage_link = backend._stage_link
 
     def _schedule_delivery(
         self,
@@ -173,10 +174,7 @@ class AsyncTransport(NetworkSimulator):
         on_delivery: Callable[[object], None],
         on_drop: "Callable[[Message, str], None] | None",
     ) -> None:
-        self.clock.schedule(
-            delay,
-            lambda: self._backend._stage_link(message, on_delivery, on_drop),
-        )
+        self.clock.schedule(delay, self._stage_link, message, on_delivery, on_drop)
 
     # -- process-host hooks (duck-typed by OperatorProcess) ------------------
 
@@ -219,8 +217,9 @@ class _ProcessHost:
         self.task: "asyncio.Task | None" = None
         self.alive = False
         # Original bound methods; the instance attributes installed by
-        # host_process shadow them so wiring closures (which look the
-        # method up late) enqueue into the mailbox instead.
+        # host_process shadow them so the wiring's PortDelivery callables
+        # (which look the method up at call time) enqueue into the
+        # mailbox instead.
         self.receive = process.receive
         self.receive_batch = process.receive_batch
 

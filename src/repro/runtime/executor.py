@@ -733,13 +733,11 @@ class Executor:
         subscription = self.broker_network.subscribe(
             node_id=target.node_id,
             filter_=filter_,
-            callback=lambda tuple_, t=target, p=port: t.receive(tuple_, port=p),
+            callback=target.delivery(port),
         )
         # Micro-batches delivered to this subscription go through the
         # process's batch path in one call instead of unrolling per tuple.
-        subscription.batch_callback = (
-            lambda batch, t=target, p=port: t.receive_batch(batch, port=p)
-        )
+        subscription.batch_callback = target.batch_delivery(port)
         if not service.params.get("active", True):
             subscription.pause()
         deployment.bindings[service_name].subscriptions.append(subscription)
@@ -993,14 +991,8 @@ class Executor:
         from repro.dsn.scn import _filter_from_params
 
         filter_ = _filter_from_params(service.params)
-        callbacks = [
-            (lambda tuple_, m=member, p=port: m.receive(tuple_, port=p))
-            for member in group.members
-        ]
-        batch_callbacks = [
-            (lambda batch, m=member, p=port: m.receive_batch(batch, port=p))
-            for member in group.members
-        ]
+        callbacks = [member.delivery(port) for member in group.members]
+        batch_callbacks = [member.batch_delivery(port) for member in group.members]
         router = self.broker_network.subscribe_sharded(
             node_ids=[member.node_id for member in group.members],
             filter_=filter_,

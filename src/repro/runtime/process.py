@@ -44,6 +44,35 @@ from repro.streams.tuple import (
 )
 
 
+class PortDelivery:
+    """Hands a delivered tuple to one input port of a process.
+
+    Built once per (process, port) by :meth:`OperatorProcess.delivery`:
+    forwarding hands the transport the same callable for every tuple
+    instead of a new closure, and source subscriptions use it as their
+    callback.  ``receive`` is looked up at call time: the asyncio backend
+    shadows it with a mailbox submit.
+    """
+
+    __slots__ = ("process", "port")
+
+    def __init__(self, process: "OperatorProcess", port: int) -> None:
+        self.process = process
+        self.port = port
+
+    def __call__(self, tuple_: SensorTuple) -> None:
+        self.process.receive(tuple_, self.port)
+
+
+class PortBatchDelivery(PortDelivery):
+    """:class:`PortDelivery` for whole micro-batches."""
+
+    __slots__ = ()
+
+    def __call__(self, batch: TupleBatch) -> None:
+        self.process.receive_batch(batch, self.port)
+
+
 @dataclass(frozen=True)
 class Route:
     """One downstream destination of a process's output.
@@ -126,8 +155,24 @@ class OperatorProcess:
         #: in place.
         self._node = netsim.topology.node(node_id)
         self._node.register_process(process_id)
+        self._deliveries: dict[int, PortDelivery] = {}
+        self._batch_deliveries: dict[int, PortBatchDelivery] = {}
 
     # -- wiring ------------------------------------------------------------
+
+    def delivery(self, port: int = 0) -> PortDelivery:
+        """The callable that delivers one tuple to ``port`` (one per port)."""
+        deliver = self._deliveries.get(port)
+        if deliver is None:
+            deliver = self._deliveries[port] = PortDelivery(self, port)
+        return deliver
+
+    def batch_delivery(self, port: int = 0) -> PortBatchDelivery:
+        """The callable that delivers a micro-batch to ``port`` (one per port)."""
+        deliver = self._batch_deliveries.get(port)
+        if deliver is None:
+            deliver = self._batch_deliveries[port] = PortBatchDelivery(self, port)
+        return deliver
 
     def add_route(self, target: "OperatorProcess | ShardGroup", port: int = 0,
                   qos: "QosPolicy | None" = None) -> None:
@@ -377,9 +422,7 @@ class OperatorProcess:
                 target=target.node_id,
                 payload=tuple_,
                 size_bytes=estimate_size_bytes(tuple_),
-                on_delivery=lambda payload, t=target, p=route.port: t.receive(
-                    payload, port=p
-                ),
+                on_delivery=target.delivery(route.port),
                 qos=route.qos,
             )
 
@@ -397,8 +440,7 @@ class OperatorProcess:
                         target=member.node_id,
                         batch=sub_batch,
                         size_bytes=estimate_batch_size_bytes(sub_batch),
-                        on_delivery=lambda payload, t=member, p=route.port:
-                            t.receive_batch(payload, port=p),
+                        on_delivery=member.batch_delivery(route.port),
                         qos=route.qos,
                     )
                 continue
@@ -410,9 +452,7 @@ class OperatorProcess:
                 target=route.target.node_id,
                 batch=batch,
                 size_bytes=size,
-                on_delivery=lambda payload, r=route: r.target.receive_batch(
-                    payload, port=r.port
-                ),
+                on_delivery=route.target.batch_delivery(route.port),
                 qos=route.qos,
             )
 

@@ -119,6 +119,28 @@ class TestRunUntil:
         clock.run_until(10.0)
         assert len(errors) == 1
 
+    def test_no_reentrant_step(self):
+        """A step inside a callback raises instead of running later events."""
+        clock = SimClock()
+        order = []
+
+        def reenter():
+            order.append("first")
+            with pytest.raises(SimulationError, match="re-entrant"):
+                clock.step()
+            order.append("first done")
+
+        clock.schedule(1.0, reenter)
+        clock.schedule(2.0, order.append, "second")
+        assert clock.step() is True
+        assert order == ["first", "first done"]
+        # The guard is released after each step: stepping and runs go on.
+        assert clock.step() is True
+        assert order == ["first", "first done", "second"]
+        clock.schedule(1.0, reenter)
+        clock.run()
+        assert order[-2:] == ["first", "first done"]
+
 
 class TestPeriodic:
     def test_fires_at_interval(self):

@@ -1,9 +1,11 @@
-"""Periodic timers: one re-armed heap entry per timer.
+"""Periodic timers and callback arguments against a closure-based clock.
 
 ``schedule_periodic`` pushes the same :class:`ScheduledEvent` back after
-each firing with a fresh sequence number.  These tests pin the cancel
-paths and the O(1) ``pending`` count, and check against the closure-based
-implementation (a new event per firing) that the firing order is the same.
+each firing with a fresh sequence number, and ``schedule(delay, callback,
+*args)`` keeps a callback's arguments on its event.  These tests pin the
+cancel paths and the O(1) ``pending`` count, and check against the
+closure-based implementation (a new event per firing, arguments bound in a
+closure) that every driver fires the same events in the same order.
 """
 
 from __future__ import annotations
@@ -16,7 +18,18 @@ from repro.network.simclock import SimClock
 
 
 class ClosureClock(SimClock):
-    """The reference: a new event, closure and state dict per firing."""
+    """The reference: a new event, closure and state dict per firing, and
+    callback arguments bound in a closure."""
+
+    def schedule(self, delay, callback, *args):
+        if args:
+            return super().schedule(delay, lambda: callback(*args))
+        return super().schedule(delay, callback)
+
+    def schedule_at(self, time, callback, *args):
+        if args:
+            return super().schedule_at(time, lambda: callback(*args))
+        return super().schedule_at(time, callback)
 
     def schedule_periodic(self, interval, callback, start_delay=None):
         state = {"event": None, "stopped": False}
@@ -128,31 +141,47 @@ class TestCancel:
         assert clock.pending == 0
 
 
-def _scenario(clock: SimClock, seed: int) -> "list[tuple]":
+def _scenario(clock: SimClock, seed: int, driver: str = "run_until") -> "list[tuple]":
     """A random mix of periodic and one-shot events on integer times.
 
     Integer intervals and delays make same-instant ties the rule.  Callbacks
-    cancel timers (their own included), start timers and schedule one-shots,
-    drawing from one seeded stream, so both clocks take the same actions
-    only while they fire in the same order.
+    cancel timers (their own included) and one-shots, start timers and
+    schedule one-shots with and without arguments, drawing from one seeded
+    stream, so both clocks take the same actions only while they fire in
+    the same order and hand over the same arguments.  ``driver`` picks how
+    the clock is advanced: ``run_until`` horizons, bare ``step`` calls, or
+    ``run`` after every timer is cancelled.
     """
     rng = random.Random(seed)
     log: "list[tuple]" = []
     cancels: "dict[int, object]" = {}
+    one_shots: "list" = []
+    draining = False
 
-    def act(label) -> None:
+    def act(label, *args) -> None:
         live = sum(1 for entry in clock._heap if not entry[2].cancelled)
         assert clock.pending == live
-        log.append((clock.now, label, live))
+        log.append((clock.now, label, args, live))
+        if draining:
+            return
         roll = rng.random()
         if roll < 0.15 and cancels:
             victim = rng.choice(sorted(cancels))
             cancels.pop(victim)()
         elif roll < 0.25:
             start(rng.randrange(100))
-        elif roll < 0.45:
+        elif roll < 0.35:
             one_shot = f"once-{rng.randrange(1000)}"
             clock.schedule(float(rng.randrange(4)), lambda: act(one_shot))
+        elif roll < 0.45:
+            one_shots.append(clock.schedule(
+                float(rng.randrange(4)), act, "args", rng.randrange(1000), label,
+            ))
+        elif roll < 0.5:
+            at = clock.now + float(rng.randrange(4))
+            one_shots.append(clock.schedule_at(at, act, "at", at))
+        elif roll < 0.55 and one_shots:
+            one_shots.pop(rng.randrange(len(one_shots))).cancel()
 
     def start(timer: int) -> None:
         if timer in cancels:
@@ -165,15 +194,69 @@ def _scenario(clock: SimClock, seed: int) -> "list[tuple]":
 
     for timer in range(8):
         start(timer)
-    for _ in range(6):
+    for index in range(6):
         one_shot = f"seed-{rng.randrange(1000)}"
         delay = float(rng.randrange(10))
-        clock.schedule(delay, lambda one_shot=one_shot: act(one_shot))
-    for horizon in (3.0, 7.0, 20.0, 40.0):
-        log.append(("run_until", horizon, clock.run_until(horizon), clock.pending))
+        if index % 2:
+            one_shots.append(clock.schedule(delay, act, one_shot, index))
+        else:
+            clock.schedule(delay, lambda one_shot=one_shot: act(one_shot))
+    if driver == "run_until":
+        for horizon in (3.0, 7.0, 20.0, 40.0):
+            log.append(("run_until", horizon, clock.run_until(horizon), clock.pending))
+    elif driver == "step":
+        for _ in range(4):
+            stepped = [clock.step() for _ in range(30)]
+            log.append(("step", stepped, clock.now, clock.pending))
+    else:
+        log.append(("run_until", 20.0, clock.run_until(20.0), clock.pending))
+        draining = True
+        for timer in sorted(cancels):
+            cancels.pop(timer)()
+        log.append(("run", clock.run(), clock.now, clock.pending))
     return log
 
 
 @pytest.mark.parametrize("seed", range(60))
 def test_firing_order_matches_closure_reference(seed):
     assert _scenario(SimClock(), seed) == _scenario(ClosureClock(), seed)
+
+
+@pytest.mark.parametrize("driver", ["step", "run"])
+@pytest.mark.parametrize("seed", range(20))
+def test_step_and_run_match_closure_reference(seed, driver):
+    log = _scenario(SimClock(), seed, driver)
+    assert log == _scenario(ClosureClock(), seed, driver)
+    # The mix did hand arguments over on this driver.
+    assert any(isinstance(entry[0], float) and entry[2] for entry in log)
+
+
+class TestCallbackArguments:
+    def test_same_instant_fifo_across_arg_and_bare_events(self):
+        clock = SimClock()
+        seen = []
+        for index in range(6):
+            if index % 2:
+                clock.schedule(1.0, seen.append, index)
+            else:
+                clock.schedule(1.0, lambda index=index: seen.append(index))
+        clock.schedule_at(1.0, seen.append, 6)
+        clock.run()
+        assert seen == list(range(7))
+
+    @pytest.mark.parametrize("driver", ["step", "run", "run_until"])
+    def test_every_driver_passes_arguments(self, driver):
+        clock = SimClock()
+        seen = []
+        event = clock.schedule(1.0, seen.append, driver)
+        assert event.args == (driver,)
+        clock.schedule_at(2.0, seen.extend, (1, 2))
+        clock.schedule(3.0, lambda *args: seen.append(args), "a", None)
+        if driver == "step":
+            while clock.step():
+                pass
+        elif driver == "run":
+            clock.run()
+        else:
+            clock.run_until(3.0)
+        assert seen == [driver, 1, 2, ("a", None)]

@@ -71,6 +71,15 @@ class TestAsyncBackendLifecycle:
             assert fired == [1.0, 5.0]
             assert backend.clock.now == 10.0
 
+    def test_epochs_pass_callback_arguments(self):
+        with AsyncBackend(topology=Topology.star(leaf_count=2)) as backend:
+            fired = []
+            backend.clock.schedule(1.0, fired.append, "a")
+            backend.clock.schedule(1.0, lambda: fired.append("bare"))
+            backend.clock.schedule_at(3.0, lambda *args: fired.append(args), 1, 2)
+            backend.run_until(5.0)
+            assert fired == ["a", "bare", (1, 2)]
+
     def test_clock_run_until_delegates_to_backend(self):
         with AsyncBackend(topology=Topology.star(leaf_count=2)) as backend:
             fired = []
